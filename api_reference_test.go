@@ -2,7 +2,6 @@ package ftsched_test
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -85,8 +84,8 @@ func TestAPITreeLifecycle(t *testing.T) {
 	}
 
 	// Trace one faulty cycle and render it.
-	rng := rand.New(rand.NewSource(6))
-	sc, err := ftsched.SampleScenario(app, rng, 1, nil)
+	rng := ftsched.NewRNG(6)
+	sc, err := ftsched.SampleScenario(app, &rng, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,7 @@ import (
 	"ftsched/internal/faultwire"
 	"ftsched/internal/model"
 	"ftsched/internal/obs"
+	"ftsched/internal/runtime"
 	"ftsched/internal/serve"
 	"ftsched/internal/serveapi"
 	"ftsched/internal/sim"
@@ -441,14 +442,14 @@ func quantileMS(sorted []time.Duration, q float64) float64 {
 // same seed always yields the same cycles, so soak runs are reproducible.
 func sampleCycles(app *model.Application, seed int64, n int) []serveapi.CycleJSON {
 	var rng sim.RNG
-	var sc sim.Scenario
+	var sc runtime.Scenario
 	cycles := make([]serveapi.CycleJSON, n)
 	for i := 0; i < n; i++ {
 		rng.Reseed(sim.ScenarioSeed(seed, i))
 		if err := sim.SampleRNGInto(&sc, app, &rng, i%(app.K()+1), nil); err != nil {
 			fatal(err)
 		}
-		cycles[i] = serveapi.CycleJSONOf(sim.Scenario{
+		cycles[i] = serveapi.CycleJSONOf(runtime.Scenario{
 			Durations: append([]model.Time(nil), sc.Durations...),
 			FaultsAt:  append([]int(nil), sc.FaultsAt...),
 			NFaults:   sc.NFaults,

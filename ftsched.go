@@ -187,18 +187,21 @@ const NoNode = core.NoNode
 // Simulation types.
 type (
 	// Scenario fixes execution times and fault victims for one cycle.
-	Scenario = sim.Scenario
+	Scenario = runtime.Scenario
 	// RunResult is the outcome of executing one scenario.
-	RunResult = sim.Result
+	RunResult = runtime.Result
 	// ProcessOutcome records how a process ended in a simulated cycle.
-	ProcessOutcome = sim.ProcessOutcome
+	ProcessOutcome = runtime.ProcessOutcome
 	// RescheduleResult is the outcome (and cost profile) of the purely
 	// online rescheduling comparator.
 	RescheduleResult = sim.RescheduleResult
 	// TraceEvent is one timestamped event of a simulated cycle.
-	TraceEvent = sim.TraceEvent
+	TraceEvent = runtime.TraceEvent
 	// TraceEventKind classifies trace events.
-	TraceEventKind = sim.TraceEventKind
+	TraceEventKind = runtime.TraceEventKind
+	// RNG is the splitmix64 scenario random-number generator shared by
+	// SampleScenario, MonteCarlo and chaos campaigns.
+	RNG = sim.RNG
 	// MCConfig parametrises a Monte-Carlo evaluation.
 	MCConfig = sim.MCConfig
 	// MCStats aggregates a Monte-Carlo evaluation.
@@ -216,11 +219,11 @@ const (
 // Simulated process outcomes.
 const (
 	// NotScheduled: dropped off-line or skipped after a switch.
-	NotScheduled = sim.NotScheduled
+	NotScheduled = runtime.NotScheduled
 	// Completed: ran to completion, possibly after re-execution.
-	Completed = sim.Completed
+	Completed = runtime.Completed
 	// AbandonedByFault: hit by a fault with no recovery budget left.
-	AbandonedByFault = sim.AbandonedByFault
+	AbandonedByFault = runtime.AbandonedByFault
 )
 
 // NoProcess is the sentinel for "no process".
@@ -518,17 +521,30 @@ func TimingReport(app *Application, s *FSchedule, k int) string {
 // simulated by Run/MonteCarlo.
 func StaticTree(app *Application, s *FSchedule) *Tree { return sim.StaticTree(app, s) }
 
-// SampleScenario draws random execution times and fault victims. It
-// returns a *SampleError when faults is outside [0, app.K()] or positive
-// with an empty (non-nil) candidate pool.
-func SampleScenario(app *Application, rng *rand.Rand, faults int, candidates []ProcessID) (Scenario, error) {
-	return sim.Sample(app, rng, faults, candidates)
+// NewRNG returns a scenario generator seeded with seed.
+func NewRNG(seed int64) RNG { return sim.NewRNG(seed) }
+
+// SampleScenario draws random execution times and fault victims from rng
+// (nil candidates: victims from all processes). It returns a *SampleError
+// when faults is outside [0, app.K()] or positive with an empty (non-nil)
+// candidate pool.
+func SampleScenario(app *Application, rng *RNG, faults int, candidates []ProcessID) (Scenario, error) {
+	var sc Scenario
+	err := sim.SampleRNGInto(&sc, app, rng, faults, candidates)
+	return sc, err
 }
 
 // Run executes one scenario against a tree with the online scheduler. It
-// returns a *MalformedTreeError for a structurally broken tree and a
-// *ScenarioSizeError for mis-sized scenario slices.
-func Run(tree *Tree, sc Scenario) (RunResult, error) { return sim.Run(tree, sc) }
+// compiles the tree on every call; use NewDispatcher to run many
+// scenarios. It returns a *MalformedTreeError for a structurally broken
+// tree and a *ScenarioSizeError for mis-sized scenario slices.
+func Run(tree *Tree, sc Scenario) (RunResult, error) {
+	d, err := runtime.NewDispatcher(tree)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return d.Run(sc)
+}
 
 // NewDispatcher compiles a tree's switch guards into a binary-searchable
 // dispatch table and returns a reusable, allocation-free online scheduler.
@@ -659,9 +675,14 @@ func WriteTreeCompact(w io.Writer, tree *Tree) error { return appio.EncodeTreeCo
 // application. Run VerifyTree on the result before trusting it.
 func ReadTree(r io.Reader, app *Application) (*Tree, error) { return appio.DecodeTree(r, app) }
 
-// RunTrace is Run with full event recording, for visualisation.
+// RunTrace is Run with full event recording, for visualisation. The
+// events are ordered by time (ties in execution order).
 func RunTrace(tree *Tree, sc Scenario) (RunResult, []TraceEvent, error) {
-	return sim.RunTrace(tree, sc)
+	d, err := runtime.NewDispatcher(tree)
+	if err != nil {
+		return RunResult{}, nil, err
+	}
+	return d.RunTrace(sc)
 }
 
 // WriteGantt renders a recorded trace as a time-scaled ASCII Gantt chart.

@@ -67,8 +67,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Single-scenario run.
-	rng := rand.New(rand.NewSource(1))
-	sc, err := ftsched.SampleScenario(app, rng, 1, nil)
+	rng := ftsched.NewRNG(1)
+	sc, err := ftsched.SampleScenario(app, &rng, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

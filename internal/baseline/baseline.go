@@ -24,10 +24,10 @@ import (
 	"ftsched/internal/utility"
 )
 
-// NonFaultTolerant synthesises a maximal-value static schedule that ignores
+// nonFaultTolerant synthesises a maximal-value static schedule that ignores
 // faults entirely: deadlines are guaranteed for worst-case execution times
 // but no recovery slack is reserved.
-func NonFaultTolerant(app *model.Application) (*schedule.FSchedule, error) {
+func nonFaultTolerant(app *model.Application) (*schedule.FSchedule, error) {
 	nft, err := app.WithFaults(0, app.Mu())
 	if err != nil {
 		return nil, err
@@ -44,7 +44,7 @@ func NonFaultTolerant(app *model.Application) (*schedule.FSchedule, error) {
 // the hard processes, with the lowest-utility soft processes dropped until
 // the worst-case fault scenario fits the deadlines and the period.
 func FTSF(app *model.Application) (*schedule.FSchedule, error) {
-	nft, err := NonFaultTolerant(app)
+	nft, err := nonFaultTolerant(app)
 	if err != nil {
 		return nil, err
 	}

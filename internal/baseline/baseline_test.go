@@ -12,7 +12,7 @@ import (
 
 func TestNonFaultTolerantFig1(t *testing.T) {
 	app := apps.Fig1()
-	s, err := NonFaultTolerant(app)
+	s, err := nonFaultTolerant(app)
 	if err != nil {
 		t.Fatal(err)
 	}

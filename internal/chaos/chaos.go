@@ -265,7 +265,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Report, error) {
 	records := make([]CycleRecord, cfg.Cycles)
 	err := sim.RunBlocks(ctx, cfg.Cycles, cfg.Workers, func(int) func(block, lo, hi int) error {
 		var rng sim.RNG
-		var sc sim.Scenario
+		var sc runtime.Scenario
 		var res runtime.Result
 		var inj injection
 		return func(_, lo, hi int) error {
@@ -334,7 +334,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*Report, error) {
 // perturb applies the configured out-of-model injections to an in-model
 // base scenario. The draw sequence is fixed (overrun, stuck, regression,
 // burst), so a cycle's perturbation depends only on its seed.
-func (c *Campaign) perturb(sc *sim.Scenario, rng *sim.RNG, inj *injection) {
+func (c *Campaign) perturb(sc *runtime.Scenario, rng *sim.RNG, inj *injection) {
 	inj.any = false
 	inj.touchedHard = false
 	inj.durVictims = inj.durVictims[:0]
@@ -386,7 +386,7 @@ func (c *Campaign) perturb(sc *sim.Scenario, rng *sim.RNG, inj *injection) {
 // cycle executes one perturbed scenario and scores it, converting any
 // panic in the dispatch path into a record instead of crashing the
 // campaign.
-func (c *Campaign) cycle(i int, rec *CycleRecord, res *runtime.Result, sc sim.Scenario, inj *injection) {
+func (c *Campaign) cycle(i int, rec *CycleRecord, res *runtime.Result, sc runtime.Scenario, inj *injection) {
 	rec.Cycle = i
 	rec.Injected = inj.any
 	rec.TouchedHard = inj.touchedHard
@@ -463,8 +463,8 @@ func (c *Campaign) cycle(i int, rec *CycleRecord, res *runtime.Result, sc sim.Sc
 // Scenario re-derives the exact perturbed scenario of cycle i — the
 // deterministic counterpart of what RunContext executed — so offending
 // cycles can be exported as counterexample records and replayed.
-func (c *Campaign) Scenario(i int) (sim.Scenario, error) {
-	var sc sim.Scenario
+func (c *Campaign) Scenario(i int) (runtime.Scenario, error) {
+	var sc runtime.Scenario
 	if i < 0 || i >= c.cfg.Cycles {
 		return sc, fmt.Errorf("chaos: cycle %d outside [0, %d)", i, c.cfg.Cycles)
 	}
@@ -478,7 +478,7 @@ func (c *Campaign) Scenario(i int) (sim.Scenario, error) {
 }
 
 // dispatch runs one scenario, converting a panic into a message.
-func (c *Campaign) dispatch(res *runtime.Result, sc sim.Scenario) (err error, panicked string) {
+func (c *Campaign) dispatch(res *runtime.Result, sc runtime.Scenario) (err error, panicked string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = fmt.Sprint(r)

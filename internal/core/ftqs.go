@@ -116,19 +116,19 @@ func FTQSContext(ctx context.Context, app *model.Application, opts FTQSOptions) 
 	if err != nil {
 		return nil, err
 	}
-	return FTQSFromRootContext(ctx, app, root, opts)
+	return ftqsFromRootContext(ctx, app, root, opts)
 }
 
 // FTQSFromRoot is FTQS starting from a pre-computed root f-schedule. The
 // root must be valid for the application (schedule.Validate) and
 // schedulable with k = app.K() faults; this is checked.
 func FTQSFromRoot(app *model.Application, root *schedule.FSchedule, opts FTQSOptions) (*Tree, error) {
-	return FTQSFromRootContext(context.Background(), app, root, opts)
+	return ftqsFromRootContext(context.Background(), app, root, opts)
 }
 
-// FTQSFromRootContext is FTQSFromRoot honouring cancellation, with the same
+// ftqsFromRootContext is FTQSFromRoot honouring cancellation, with the same
 // node-expansion granularity as FTQSContext.
-func FTQSFromRootContext(ctx context.Context, app *model.Application, root *schedule.FSchedule, opts FTQSOptions) (*Tree, error) {
+func ftqsFromRootContext(ctx context.Context, app *model.Application, root *schedule.FSchedule, opts FTQSOptions) (*Tree, error) {
 	opts, err := opts.Validate()
 	if err != nil {
 		return nil, err
@@ -603,7 +603,7 @@ func (s *synthesizer) candidatesAt(n *bNode, pos int, droppedBase model.ProcSet)
 	return out
 }
 
-// suffixFTSS is SuffixFTSSSet through the memoization cache: identical
+// suffixFTSS is suffixFTSSSet through the memoization cache: identical
 // (executed set, dropped set, start, budget) requests across the whole
 // tree are synthesised once. Returns nil when the suffix is infeasible or
 // empty. The returned entries are shared and must not be mutated.
@@ -617,7 +617,7 @@ func (s *synthesizer) suffixFTSS(executed, dropped model.ProcSet, start Time, kR
 	if e, ok := s.memo.get(key); ok {
 		return e
 	}
-	suffix, err := SuffixFTSSSet(s.app, executed, dropped, start, kRem)
+	suffix, err := suffixFTSSSet(s.app, executed, dropped, start, kRem)
 	if err != nil {
 		suffix = nil
 	}

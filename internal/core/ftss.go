@@ -51,9 +51,9 @@ func SuffixFTSS(app *model.Application, executed, dropped []model.ProcessID, sta
 	return st.run()
 }
 
-// SuffixFTSSSet is SuffixFTSS with the executed/dropped state as bitsets,
+// suffixFTSSSet is SuffixFTSS with the executed/dropped state as bitsets,
 // the representation FTQS carries end-to-end.
-func SuffixFTSSSet(app *model.Application, executed, dropped model.ProcSet, start Time, kRemaining int) ([]schedule.Entry, error) {
+func suffixFTSSSet(app *model.Application, executed, dropped model.ProcSet, start Time, kRemaining int) ([]schedule.Entry, error) {
 	ex := make([]bool, app.N())
 	dr := make([]bool, app.N())
 	for id := 0; id < app.N(); id++ {

@@ -58,12 +58,12 @@ func DefaultEnergy() EnergyConfig {
 	}
 }
 
-// HeteroPlatform is the reference two-core platform of the study: a
+// heteroPlatform is the reference two-core platform of the study: a
 // low-power unit-speed core and a high-performance core twice as fast at
 // three times the active power. The biased mapping places every primary on
 // the LP core and every re-execution on the HP core, so the energy price
 // of fault tolerance is paid only when faults actually occur.
-func HeteroPlatform() *model.Platform {
+func heteroPlatform() *model.Platform {
 	return model.MustNewPlatform(
 		model.Core{Name: "lp", Speed: 1, PowerActive: 1, PowerIdle: 0.05},
 		model.Core{Name: "hp", Speed: 2, PowerActive: 3, PowerIdle: 0.15},
@@ -98,7 +98,7 @@ type EnergyResult struct {
 }
 
 // Energy runs the study: fixtures first, then generated applications, each
-// on the canonical platform and on HeteroPlatform.
+// on the canonical platform and on heteroPlatform.
 func Energy(cfg EnergyConfig) (*EnergyResult, error) {
 	type workload struct {
 		name string
@@ -117,7 +117,7 @@ func Energy(cfg EnergyConfig) (*EnergyResult, error) {
 		}
 		loads = append(loads, workload{fmt.Sprintf("gen-%02d", a), app})
 	}
-	hetero := HeteroPlatform()
+	hetero := heteroPlatform()
 	res := &EnergyResult{Cfg: cfg}
 	for _, wl := range loads {
 		seed := cfg.Seed + int64(len(res.Rows))

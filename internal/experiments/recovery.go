@@ -89,7 +89,7 @@ type RecoveryResult struct {
 	Cfg  RecoveryConfig
 }
 
-// StudyModels derives the three recovery models the study compares for one
+// studyModels derives the three recovery models the study compares for one
 // application, deterministically from its own parameters:
 //
 //   - reexec: the paper's canonical model (per-fault overhead µ);
@@ -98,7 +98,7 @@ type RecoveryResult struct {
 //   - checkpoint: segments of half the largest WCET (so every long process
 //     takes at least one checkpoint), per-checkpoint overhead of at most
 //     µ/2, rollback cost µ — recovery re-runs only the last segment.
-func StudyModels(app *model.Application) []struct {
+func studyModels(app *model.Application) []struct {
 	Name  string
 	Model model.RecoveryModel
 } {
@@ -128,7 +128,7 @@ func StudyModels(app *model.Application) []struct {
 }
 
 // Recovery runs the study: paper fixtures first, then generated
-// applications, each under the three recovery models of StudyModels.
+// applications, each under the three recovery models of studyModels.
 func Recovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	type workload struct {
 		name string
@@ -149,7 +149,7 @@ func Recovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	res := &RecoveryResult{Cfg: cfg}
 	for _, wl := range loads {
 		seed := cfg.Seed + int64(len(res.Rows))
-		for _, sm := range StudyModels(wl.app) {
+		for _, sm := range studyModels(wl.app) {
 			app := wl.app
 			if !sm.Model.IsCanonical() {
 				var err error

@@ -115,7 +115,6 @@ type Application struct {
 
 	validated bool
 	topo      []ProcessID
-	rank      []int // rank[id] = position of id in topo order
 }
 
 // canonicalPlatform backs Platform() for applications without an explicit
@@ -255,10 +254,6 @@ func (a *Application) Validate() error {
 		return err
 	}
 	a.topo = topo
-	a.rank = make([]int, len(a.procs))
-	for i, id := range topo {
-		a.rank[id] = i
-	}
 	a.validated = true
 	return nil
 }
@@ -394,15 +389,6 @@ func (a *Application) Preds(id ProcessID) []ProcessID {
 func (a *Application) Topo() []ProcessID {
 	a.mustBeValidated()
 	return a.topo
-}
-
-// Rank returns the position of id in the topological order.
-func (a *Application) Rank(id ProcessID) int {
-	a.mustBeValidated()
-	if err := a.checkID(id); err != nil {
-		panic(err)
-	}
-	return a.rank[id]
 }
 
 // HardIDs returns the IDs of all hard processes, in ID order.
@@ -641,16 +627,6 @@ func (a *Application) WithPlatform(p *Platform, m Mapping) (*Application, error)
 	cp.primCore = append([]CoreID(nil), m.Primary...)
 	cp.recCore = append([]CoreID(nil), m.Recovery...)
 	return cp, nil
-}
-
-// TotalWCET returns the sum of all WCETs — a lower bound on the no-fault
-// length of any schedule that drops nothing.
-func (a *Application) TotalWCET() Time {
-	var sum Time
-	for _, p := range a.procs {
-		sum += p.WCET
-	}
-	return sum
 }
 
 // IDByName returns the process with the given name, or NoProcess.

@@ -62,9 +62,6 @@ func TestFig1Application(t *testing.T) {
 	if got := a.IDByName("nope"); got != NoProcess {
 		t.Errorf("IDByName(nope) = %d, want NoProcess", got)
 	}
-	if got := a.TotalWCET(); got != 220 {
-		t.Errorf("TotalWCET = %d, want 220", got)
-	}
 	if !strings.Contains(a.String(), "3 processes") {
 		t.Errorf("String() = %q", a.String())
 	}
@@ -375,9 +372,6 @@ func TestTopoOrderProperty(t *testing.T) {
 				if pos[ProcessID(id)] >= pos[s] {
 					return false
 				}
-			}
-			if a.Rank(ProcessID(id)) != pos[ProcessID(id)] {
-				return false
 			}
 		}
 		return true

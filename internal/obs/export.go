@@ -39,7 +39,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 			cum += hs.buckets[i].Load()
 			le := "+Inf"
 			if i < numBuckets-1 {
-				le = fmt.Sprintf("%d", BucketBound(i))
+				le = fmt.Sprintf("%d", bucketBound(i))
 			}
 			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, le, cum); err != nil {
 				return err

@@ -27,9 +27,9 @@ func bucketIndex(v int64) int {
 	return b
 }
 
-// BucketBound returns the inclusive upper bound of bucket i
+// bucketBound returns the inclusive upper bound of bucket i
 // (math.MaxInt64 for the overflow bucket, 0 for the ≤0 bucket).
-func BucketBound(i int) int64 {
+func bucketBound(i int) int64 {
 	switch {
 	case i <= 0:
 		return 0
@@ -156,7 +156,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 		for i := range hs.buckets {
 			if n := hs.buckets[i].Load(); n != 0 {
-				snap.Buckets = append(snap.Buckets, Bucket{Le: BucketBound(i), Count: n})
+				snap.Buckets = append(snap.Buckets, Bucket{Le: bucketBound(i), Count: n})
 			}
 		}
 		s.Histograms[histogramNames[h]] = snap

@@ -23,10 +23,10 @@ func TestBucketIndexBounds(t *testing.T) {
 	// Every sample must fall within its bucket's bounds.
 	for _, v := range []int64{0, 1, 2, 3, 5, 100, 65535, 1 << 40} {
 		i := bucketIndex(v)
-		if v > BucketBound(i) {
-			t.Errorf("value %d above bound %d of its bucket %d", v, BucketBound(i), i)
+		if v > bucketBound(i) {
+			t.Errorf("value %d above bound %d of its bucket %d", v, bucketBound(i), i)
 		}
-		if i > 0 && v <= BucketBound(i-1) {
+		if i > 0 && v <= bucketBound(i-1) {
 			t.Errorf("value %d also fits bucket %d", v, i-1)
 		}
 	}

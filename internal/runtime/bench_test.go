@@ -2,7 +2,6 @@ package runtime_test
 
 import (
 	"fmt"
-	"math/rand"
 	goruntime "runtime"
 	"testing"
 
@@ -23,8 +22,8 @@ func BenchmarkDispatch(b *testing.B) {
 	app := apps.CruiseController()
 	tree := synthesize(b, app, 20)
 	d := runtime.MustNewDispatcher(tree)
-	rng := rand.New(rand.NewSource(1))
-	sc := sim.MustSample(app, rng, 2, nil)
+	rng := sim.NewRNG(1)
+	sc := mustSample(b, app, &rng, 2)
 	var res runtime.Result
 	d.RunInto(&res, sc)
 	b.ReportAllocs()
@@ -53,8 +52,8 @@ func benchDispatchSink(b *testing.B, s obs.Sink) {
 	app := apps.CruiseController()
 	tree := synthesize(b, app, 20)
 	d := runtime.MustNewDispatcher(tree, runtime.WithSink(s))
-	rng := rand.New(rand.NewSource(1))
-	sc := sim.MustSample(app, rng, 2, nil)
+	rng := sim.NewRNG(1)
+	sc := mustSample(b, app, &rng, 2)
 	var res runtime.Result
 	d.RunInto(&res, sc)
 	b.ReportAllocs()
@@ -71,9 +70,9 @@ func benchDispatchSink(b *testing.B, s obs.Sink) {
 // record, emergency-suffix switch — every cycle under PolicyShedSoft.
 func BenchmarkDispatchEnvelope(b *testing.B) {
 	app := apps.CruiseController()
-	rng := rand.New(rand.NewSource(1))
-	inSc := sim.MustSample(app, rng, 2, nil)
-	outSc := sim.MustSample(app, rng, 0, nil)
+	rng := sim.NewRNG(1)
+	inSc := mustSample(b, app, &rng, 2)
+	outSc := mustSample(b, app, &rng, 0)
 	soft := app.SoftIDs()
 	outSc.Durations[soft[0]] = app.Proc(soft[0]).WCET + 50
 	for _, tc := range []struct {
@@ -162,8 +161,8 @@ func BenchmarkDispatchMapped(b *testing.B) {
 	}
 	tree := synthesize(b, app, 20)
 	d := runtime.MustNewDispatcher(tree)
-	rng := rand.New(rand.NewSource(1))
-	sc := sim.MustSample(app, rng, 2, nil)
+	rng := sim.NewRNG(1)
+	sc := mustSample(b, app, &rng, 2)
 	var res runtime.Result
 	d.RunInto(&res, sc)
 	b.ReportAllocs()

@@ -2,7 +2,6 @@ package runtime_test
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -94,10 +93,10 @@ func TestDispatcherRootFallback(t *testing.T) {
 	d := runtime.MustNewDispatcher(tree, runtime.WithSink(m))
 	d.CorruptSegments(core.NodeID(len(tree.Nodes) + 5)) // every switch target out of range
 
-	rng := rand.New(rand.NewSource(7))
+	rng := sim.NewRNG(7)
 	fellBack := 0
 	for i := 0; i < 200; i++ {
-		sc := sim.MustSample(app, rng, i%(app.K()+1), nil)
+		sc := mustSample(t, app, &rng, i%(app.K()+1))
 		res, err := d.Run(sc)
 		if err != nil {
 			t.Fatal(err)

@@ -111,6 +111,17 @@ func mustRun(t testing.TB, d *runtime.Dispatcher, sc runtime.Scenario) runtime.R
 	return res
 }
 
+// mustSample draws one in-model scenario (durations in [BCET, WCET], at
+// most k faults) from rng, failing the test on a *sim.SampleError.
+func mustSample(t testing.TB, app *model.Application, rng *sim.RNG, faults int) runtime.Scenario {
+	t.Helper()
+	var sc runtime.Scenario
+	if err := sim.SampleRNGInto(&sc, app, rng, faults, nil); err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // resultsEqual compares results treating nil and empty slices alike (Run
 // returns nil slices where a reused RunInto result holds empty ones).
 func resultsEqual(a, b *runtime.Result) bool {
@@ -144,10 +155,10 @@ func TestRunIntoMatchesRun(t *testing.T) {
 	app := apps.CruiseController()
 	tree := synthesize(t, app, 20)
 	d := runtime.MustNewDispatcher(tree)
-	rng := rand.New(rand.NewSource(11))
+	rng := sim.NewRNG(11)
 	var reused runtime.Result
 	for i := 0; i < 500; i++ {
-		sc := sim.MustSample(app, rng, i%(app.K()+1), nil)
+		sc := mustSample(t, app, &rng, i%(app.K()+1))
 		d.RunInto(&reused, sc)
 		fresh := mustRun(t, d, sc)
 		if !resultsEqual(&reused, &fresh) {
@@ -162,9 +173,9 @@ func TestRunTraceMatchesRun(t *testing.T) {
 	app := apps.Fig8()
 	tree := synthesize(t, app, 16)
 	d := runtime.MustNewDispatcher(tree)
-	rng := rand.New(rand.NewSource(17))
+	rng := sim.NewRNG(17)
 	for i := 0; i < 100; i++ {
-		sc := sim.MustSample(app, rng, i%(app.K()+1), nil)
+		sc := mustSample(t, app, &rng, i%(app.K()+1))
 		plain := mustRun(t, d, sc)
 		traced, events, err := d.RunTrace(sc)
 		if err != nil {
@@ -190,11 +201,11 @@ func TestDispatcherConcurrent(t *testing.T) {
 	d := runtime.MustNewDispatcher(tree)
 
 	const workers, perWorker = 8, 50
-	scenarios := make([]sim.Scenario, workers*perWorker)
+	scenarios := make([]runtime.Scenario, workers*perWorker)
 	want := make([]runtime.Result, len(scenarios))
-	rng := rand.New(rand.NewSource(23))
+	rng := sim.NewRNG(23)
 	for i := range scenarios {
-		scenarios[i] = sim.MustSample(app, rng, i%(app.K()+1), nil)
+		scenarios[i] = mustSample(t, app, &rng, i%(app.K()+1))
 		want[i] = mustRun(t, d, scenarios[i])
 	}
 
@@ -229,8 +240,8 @@ func TestRunIntoAllocFree(t *testing.T) {
 	app := apps.CruiseController()
 	tree := synthesize(t, app, 20)
 	d := runtime.MustNewDispatcher(tree)
-	rng := rand.New(rand.NewSource(29))
-	sc := sim.MustSample(app, rng, 2, nil)
+	rng := sim.NewRNG(29)
+	sc := mustSample(t, app, &rng, 2)
 	var res runtime.Result
 	d.RunInto(&res, sc) // warm up the result buffers and the cycle pool
 	allocs := testing.AllocsPerRun(200, func() {
@@ -250,8 +261,8 @@ func TestRunIntoAllocFreeWithSinks(t *testing.T) {
 	}
 	app := apps.CruiseController()
 	tree := synthesize(t, app, 20)
-	rng := rand.New(rand.NewSource(29))
-	sc := sim.MustSample(app, rng, 2, nil)
+	rng := sim.NewRNG(29)
+	sc := mustSample(t, app, &rng, 2)
 	for _, tc := range []struct {
 		name string
 		sink obs.Sink
@@ -285,11 +296,11 @@ func TestDispatcherSinkEvents(t *testing.T) {
 		t.Fatal("Sink() does not return the installed sink")
 	}
 
-	rng := rand.New(rand.NewSource(41))
+	rng := sim.NewRNG(41)
 	const cycles = 300
 	var switches, recoveries, abandoned, hardDone int64
 	for i := 0; i < cycles; i++ {
-		sc := sim.MustSample(app, rng, i%(app.K()+1), nil)
+		sc := mustSample(t, app, &rng, i%(app.K()+1))
 		got := mustRun(t, d, sc)
 		want := mustRun(t, plain, sc)
 		if !resultsEqual(&got, &want) {
@@ -338,8 +349,8 @@ func TestDispatcherSinkEvents(t *testing.T) {
 // hand-built scenarios.
 func TestScenarioValidate(t *testing.T) {
 	app := apps.Fig1()
-	rng := rand.New(rand.NewSource(31))
-	sc := sim.MustSample(app, rng, 1, nil)
+	rng := sim.NewRNG(31)
+	sc := mustSample(t, app, &rng, 1)
 	if err := sc.Validate(app); err != nil {
 		t.Fatalf("sampled scenario invalid: %v", err)
 	}

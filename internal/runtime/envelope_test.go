@@ -3,7 +3,6 @@ package runtime_test
 import (
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,13 +12,6 @@ import (
 	"ftsched/internal/runtime"
 	"ftsched/internal/sim"
 )
-
-// inModel samples a scenario within the fault model (durations in
-// [BCET, WCET], at most k faults).
-func inModel(t testing.TB, app *model.Application, rng *rand.Rand, faults int) runtime.Scenario {
-	t.Helper()
-	return sim.MustSample(app, rng, faults, nil)
-}
 
 // countKind tallies the violation events of one kind.
 func countKind(events []runtime.ViolationEvent, kind runtime.ViolationKind) int {
@@ -49,10 +41,10 @@ func TestEnvelopeInModelTransparent(t *testing.T) {
 	for _, policy := range []runtime.DegradePolicy{runtime.PolicyStrict, runtime.PolicyShedSoft, runtime.PolicyBestEffort} {
 		for _, clamp := range []bool{false, true} {
 			d := runtime.MustNewDispatcher(tree, runtime.WithEnvelope(runtime.EnvelopeConfig{Policy: policy, Clamp: clamp}))
-			rng := rand.New(rand.NewSource(101))
+			rng := sim.NewRNG(101)
 			var res runtime.Result
 			for i := 0; i < 300; i++ {
-				sc := inModel(t, app, rng, i%(app.K()+1))
+				sc := mustSample(t, app, &rng, i%(app.K()+1))
 				want := mustRun(t, plain, sc)
 				if err := d.RunInto(&res, sc); err != nil {
 					t.Fatalf("%v clamp=%v scenario %d: unexpected error %v", policy, clamp, i, err)
@@ -81,11 +73,11 @@ func TestBudgetExhaustedRecorded(t *testing.T) {
 	tree := synthesize(t, app, 20)
 	m := obs.NewMetrics()
 	d := runtime.MustNewDispatcher(tree, runtime.WithSink(m))
-	rng := rand.New(rand.NewSource(103))
+	rng := sim.NewRNG(103)
 	var res runtime.Result
 	seen, events := 0, int64(0)
 	for i := 0; i < 400; i++ {
-		sc := inModel(t, app, rng, app.K())
+		sc := mustSample(t, app, &rng, app.K())
 		if err := d.RunInto(&res, sc); err != nil {
 			t.Fatal(err)
 		}
@@ -412,10 +404,10 @@ func TestEnvelopeShedSoftPureFaultBurstsHardSafe(t *testing.T) {
 		tree := synthesize(t, tc.app, tc.m)
 		d := runtime.MustNewDispatcher(tree, runtime.WithEnvelope(runtime.EnvelopeConfig{Policy: runtime.PolicyShedSoft}))
 		soft := tc.app.SoftIDs()
-		rng := rand.New(rand.NewSource(107))
+		rng := sim.NewRNG(107)
 		var res runtime.Result
 		for i := 0; i < 1000; i++ {
-			sc := inModel(t, tc.app, rng, 0)
+			sc := mustSample(t, tc.app, &rng, 0)
 			burst := rng.Intn(tc.app.K() + 4)
 			for f := 0; f < burst; f++ {
 				sc.FaultsAt[soft[rng.Intn(len(soft))]]++
@@ -526,11 +518,11 @@ func TestEnvelopeAllocFree(t *testing.T) {
 	}
 	app := apps.CruiseController()
 	tree := synthesize(t, app, 20)
-	rng := rand.New(rand.NewSource(113))
-	inSc := sim.MustSample(app, rng, 2, nil)
+	rng := sim.NewRNG(113)
+	inSc := mustSample(t, app, &rng, 2)
 
 	// Out-of-model: one soft overrun plus a fault burst past k.
-	outSc := sim.MustSample(app, rng, 0, nil)
+	outSc := mustSample(t, app, &rng, 0)
 	soft := app.SoftIDs()
 	outSc.Durations[soft[0]] = app.Proc(soft[0]).WCET + 50
 	outSc.FaultsAt[soft[1]] = app.K() + 1
@@ -578,11 +570,11 @@ func TestEnvelopeSinkCounters(t *testing.T) {
 	m := obs.NewMetrics()
 	d := runtime.MustNewDispatcher(tree, runtime.WithEnvelope(runtime.EnvelopeConfig{Policy: runtime.PolicyShedSoft}), runtime.WithSink(m))
 	soft := app.SoftIDs()
-	rng := rand.New(rand.NewSource(127))
+	rng := sim.NewRNG(127)
 	var res runtime.Result
 	var overruns, extra, regressions, budget, sheds int64
 	for i := 0; i < 200; i++ {
-		sc := sim.MustSample(app, rng, rng.Intn(app.K()+1), nil)
+		sc := mustSample(t, app, &rng, rng.Intn(app.K()+1))
 		switch i % 4 {
 		case 0:
 			p := soft[rng.Intn(len(soft))]

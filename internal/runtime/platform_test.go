@@ -1,7 +1,6 @@
 package runtime_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -145,8 +144,8 @@ func TestDispatchMappedAllocFree(t *testing.T) {
 		{"live", obs.NewMetrics()},
 	} {
 		d := runtime.MustNewDispatcher(tree, runtime.WithSink(tc.sink))
-		rng := rand.New(rand.NewSource(29))
-		sc := sim.MustSample(app, rng, 2, nil)
+		rng := sim.NewRNG(29)
+		sc := mustSample(t, app, &rng, 2)
 		var res runtime.Result
 		d.RunInto(&res, sc) // warm up the result buffers and the cycle pool
 		allocs := testing.AllocsPerRun(200, func() {
@@ -172,10 +171,10 @@ func TestDispatchMappedHonoursDeadlines(t *testing.T) {
 	tree := synthesize(t, app, 16)
 	d := runtime.MustNewDispatcher(tree)
 	single := runtime.MustNewDispatcher(synthesize(t, base, 16))
-	rng := rand.New(rand.NewSource(17))
+	rng := sim.NewRNG(17)
 	var res, sres runtime.Result
 	for i := 0; i < 500; i++ {
-		sc := sim.MustSample(base, rng, min(1, base.K()), nil)
+		sc := mustSample(t, base, &rng, min(1, base.K()))
 		if err := d.RunInto(&res, sc); err != nil {
 			t.Fatal(err)
 		}

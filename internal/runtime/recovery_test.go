@@ -1,7 +1,6 @@
 package runtime_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -204,8 +203,8 @@ func TestDispatchRecoveryAllocFree(t *testing.T) {
 			}
 			tree := synthesize(t, app, 20)
 			d := runtime.MustNewDispatcher(tree)
-			rng := rand.New(rand.NewSource(31))
-			sc := sim.MustSample(app, rng, 2, nil)
+			rng := sim.NewRNG(31)
+			sc := mustSample(t, app, &rng, 2)
 			var res runtime.Result
 			d.RunInto(&res, sc) // warm up the result buffers and the cycle pool
 			allocs := testing.AllocsPerRun(200, func() {
@@ -241,8 +240,8 @@ func BenchmarkDispatchRecovery(b *testing.B) {
 			}
 			tree := synthesize(b, app, 20)
 			d := runtime.MustNewDispatcher(tree)
-			rng := rand.New(rand.NewSource(31))
-			sc := sim.MustSample(app, rng, 2, nil)
+			rng := sim.NewRNG(31)
+			sc := mustSample(b, app, &rng, 2)
 			var res runtime.Result
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -27,5 +27,11 @@
 //	                                    0 ≤ n_j ≤ f_j, Σ_j n_j ≤ k }
 //
 // which this package evaluates greedily (faults go to the largest
-// wcet_j + µ_j first).
+// wcet_j + µ_j first). WorstCaseCompletions is the package's one
+// worst-case analysis: it threads the application's RecoveryModel and
+// Platform through the bound, and every schedulability check builds on
+// it. Across release gaps (merged multi-rate applications) the greedy
+// bound stays safe but pessimistic; an exact release-aware dynamic
+// program in the package tests serves as its oracle on the canonical
+// platform.
 package schedule

@@ -362,7 +362,7 @@ func Schedulable(app *model.Application, entries []Entry, start Time, k int) boo
 	return CheckSchedulable(app, entries, start, k) == nil
 }
 
-// ProjectedUtility evaluates the total expected utility of an f-schedule in
+// projectedUtility evaluates the total expected utility of an f-schedule in
 // the no-fault scenario (paper §4: the no-fault utility must never be
 // compromised, so schedules are optimised for the average execution times).
 //
@@ -371,7 +371,7 @@ func Schedulable(app *model.Application, entries []Entry, start Time, k int) boo
 // their AETs starting at now (which must be >= the last fixed completion).
 // Soft processes outside the schedule are dropped: they contribute nothing
 // and degrade their successors through the stale-value coefficients.
-func ProjectedUtility(app *model.Application, s *FSchedule, fixed []Time, now Time) float64 {
+func projectedUtility(app *model.Application, s *FSchedule, fixed []Time, now Time) float64 {
 	if len(fixed) > len(s.Entries) {
 		panic("schedule: more fixed completions than entries")
 	}
@@ -405,8 +405,8 @@ func ProjectedUtility(app *model.Application, s *FSchedule, fixed []Time, now Ti
 	return total
 }
 
-// ExpectedUtility is ProjectedUtility with no fixed prefix, starting at 0:
+// ExpectedUtility is projectedUtility with no fixed prefix, starting at 0:
 // the figure of merit the paper reports for the no-fault scenario.
 func ExpectedUtility(app *model.Application, s *FSchedule) float64 {
-	return ProjectedUtility(app, s, nil, 0)
+	return projectedUtility(app, s, nil, 0)
 }

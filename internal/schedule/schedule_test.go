@@ -117,10 +117,10 @@ func TestExpectedUtilityFig4(t *testing.T) {
 	}
 	// Fig. 4b5: if P1 finishes at its BCET 30, S1 yields
 	// U2(80) + U3(140) = 40 + 30 = 70, beating S2's 60.
-	if got := ProjectedUtility(a, s1, []Time{30}, 30); got != 70 {
+	if got := projectedUtility(a, s1, []Time{30}, 30); got != 70 {
 		t.Errorf("U(S1 | P1 done at 30) = %g, want 70", got)
 	}
-	if got := ProjectedUtility(a, s2, []Time{30}, 30); got != 60 {
+	if got := projectedUtility(a, s2, []Time{30}, 30); got != 60 {
 		t.Errorf("U(S2 | P1 done at 30) = %g, want 60", got)
 	}
 	// Fig. 4c3/c4: dropping P2 (S3 = P1,P3) gives U3(100)·α... P3 executed
@@ -366,5 +366,5 @@ func TestProjectedUtilityPanicsOnBadFixed(t *testing.T) {
 			t.Error("expected panic for fixed longer than entries")
 		}
 	}()
-	ProjectedUtility(a, s, []Time{1, 2}, 2)
+	projectedUtility(a, s, []Time{1, 2}, 2)
 }

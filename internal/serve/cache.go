@@ -67,12 +67,12 @@ type Cache struct {
 	clock   atomic.Int64
 }
 
-// NewCache builds a cache holding at most capacity compiled trees
+// newCache builds a cache holding at most capacity compiled trees
 // (capacity < 1 selects DefaultCacheSize). The sink receives cache hit,
 // miss and reload counters and is attached to every compiled dispatcher,
 // so dispatch instrumentation flows regardless of which tenant triggered
 // the compile.
-func NewCache(capacity int, sink obs.Sink) *Cache {
+func newCache(capacity int, sink obs.Sink) *Cache {
 	if capacity < 1 {
 		capacity = DefaultCacheSize
 	}
@@ -89,12 +89,12 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Key derives the cache key of an application/options pair: a sha256 over
+// cacheKey derives the cache key of an application/options pair: a sha256 over
 // the canonical application encoding (which embeds k and the platform)
 // and the normalised synthesis options. Workers and Sink are excluded —
 // synthesised trees are bit-identical for every worker count (the FTQS
 // determinism contract), so they are execution hints, not identity.
-func Key(appJSON []byte, opts core.FTQSOptions) string {
+func cacheKey(appJSON []byte, opts core.FTQSOptions) string {
 	h := sha256.New()
 	h.Write(appJSON)
 	fmt.Fprintf(h, "|m=%d|sweep=%d|gain=%g|eval=%d|norevival=%t",
@@ -177,7 +177,7 @@ func (c *Cache) compile(ctx context.Context, appJSON []byte, optsJSON *serveapi.
 	if err := appio.EncodeApplication(&canon, app); err != nil {
 		return nil, nil, false, serveapi.WireError(err)
 	}
-	key := Key(canon.Bytes(), opts)
+	key := cacheKey(canon.Bytes(), opts)
 
 	e := c.intern(key, app, canon.Bytes(), opts)
 	e.mu.Lock()

@@ -11,6 +11,7 @@ import (
 
 	"ftsched/internal/apps"
 	"ftsched/internal/obs"
+	"ftsched/internal/runtime"
 	"ftsched/internal/serveapi"
 	"ftsched/internal/sim"
 )
@@ -39,7 +40,7 @@ func TestScrapeDuringDrainObservesCounters(t *testing.T) {
 	var rng sim.RNG
 	for i := 0; i < 2000; i++ {
 		rng.Reseed(sim.ScenarioSeed(11, i))
-		var sc sim.Scenario
+		var sc runtime.Scenario
 		if err := sim.SampleRNGInto(&sc, app, &rng, i%(app.K()+1), nil); err != nil {
 			t.Fatal(err)
 		}

@@ -180,7 +180,7 @@ func TestDispatchMatchesInProcess(t *testing.T) {
 	// Deterministically sampled in-model cycles, faults included.
 	const cycles = 300
 	var rng sim.RNG
-	var sc sim.Scenario
+	var sc runtime.Scenario
 	reqCycles := make([]serveapi.CycleJSON, cycles)
 	want := make([]serveapi.CycleResultJSON, cycles)
 	for i := 0; i < cycles; i++ {
@@ -188,7 +188,7 @@ func TestDispatchMatchesInProcess(t *testing.T) {
 		if err := sim.SampleRNGInto(&sc, app, &rng, i%(app.K()+1), nil); err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
-		cp := sim.Scenario{
+		cp := runtime.Scenario{
 			Durations: append([]model.Time(nil), sc.Durations...),
 			FaultsAt:  append([]int(nil), sc.FaultsAt...),
 			NFaults:   sc.NFaults,

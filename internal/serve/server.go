@@ -101,7 +101,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: m,
-		cache:   NewCache(cfg.CacheSize, m),
+		cache:   newCache(cfg.CacheSize, m),
 		tenants: newTenants(cfg.Limits),
 		shed:    newShedder(cfg.Overload, m),
 		now:     now,

@@ -332,9 +332,10 @@ func TestChaosConfigRoundTrip(t *testing.T) {
 }
 
 func TestFTQSOptionsRoundTrip(t *testing.T) {
-	in := core.FTQSOptions{M: 16, SweepSamples: 128, MinGain: 0.001, EvalScenarios: 32,
+	want := core.FTQSOptions{M: 16, SweepSamples: 128, MinGain: 0.001, EvalScenarios: 32,
 		DisableRevival: true, Workers: 3}
-	data, err := json.Marshal(OptionsJSON(in))
+	data, err := json.Marshal(FTQSOptionsJSON{M: 16, SweepSamples: 128, MinGain: 0.001, EvalScenarios: 32,
+		DisableRevival: true, Workers: 3})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -342,8 +343,8 @@ func TestFTQSOptionsRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &wire); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if out := wire.Core(); out != in {
-		t.Fatalf("round trip lost data:\n in = %+v\nout = %+v", in, out)
+	if out := wire.Core(); out != want {
+		t.Fatalf("round trip lost data:\n want = %+v\n out = %+v", want, out)
 	}
 }
 

@@ -9,18 +9,6 @@ import (
 	"ftsched/internal/sim"
 )
 
-// OptionsJSON converts synthesis options to their wire form.
-func OptionsJSON(o core.FTQSOptions) FTQSOptionsJSON {
-	return FTQSOptionsJSON{
-		M:              o.M,
-		SweepSamples:   o.SweepSamples,
-		MinGain:        o.MinGain,
-		EvalScenarios:  o.EvalScenarios,
-		DisableRevival: o.DisableRevival,
-		Workers:        o.Workers,
-	}
-}
-
 // Core converts wire options back to core.FTQSOptions (Sink stays nil; the
 // server attaches its own).
 func (o FTQSOptionsJSON) Core() core.FTQSOptions {
@@ -91,12 +79,6 @@ func (c MCConfigJSON) MCConfig() (sim.MCConfig, error) {
 	return cfg.Validate()
 }
 
-// MCConfigJSONOf converts a library config to its wire form (Sink and
-// Dispatcher are dropped: they have no wire representation).
-func MCConfigJSONOf(c sim.MCConfig) MCConfigJSON {
-	return MCConfigJSON{Scenarios: c.Scenarios, Faults: c.Faults, Seed: c.Seed, Workers: c.Workers}
-}
-
 // CertifyConfig materialises and validates the wire config, reusing
 // certify.Config.Validate verbatim.
 func (c CertifyConfigJSON) CertifyConfig() (certify.Config, error) {
@@ -107,11 +89,6 @@ func (c CertifyConfigJSON) CertifyConfig() (certify.Config, error) {
 		MaxBoundaries: c.MaxBoundaries,
 	}
 	return cfg.Validate()
-}
-
-// CertifyConfigJSONOf converts a library config to its wire form.
-func CertifyConfigJSONOf(c certify.Config) CertifyConfigJSON {
-	return CertifyConfigJSON{MaxFaults: c.MaxFaults, Workers: c.Workers, Budget: c.Budget, MaxBoundaries: c.MaxBoundaries}
 }
 
 // ChaosConfig materialises and validates the wire config, reusing

@@ -298,7 +298,7 @@ func (e *mcBatch) runner(worker int) func(block, lo, hi int) error {
 	if nf > 0 {
 		victims = make([]model.ProcessID, nf*BlockSize)
 	}
-	sc := Scenario{
+	sc := runtime.Scenario{
 		Durations: make([]model.Time, n),
 		FaultsAt:  make([]int, n),
 		NFaults:   nf,

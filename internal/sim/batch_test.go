@@ -68,7 +68,7 @@ func TestBatchSamplerMatchesScalar(t *testing.T) {
 		candidates = append(candidates, e.Proc)
 	}
 	var rng RNG
-	var sc Scenario
+	var sc runtime.Scenario
 	var res runtime.Result
 	minU, maxU := math.Inf(1), math.Inf(-1)
 	var hard int

@@ -14,7 +14,7 @@ import (
 // which computes a new schedule every time a process fails or completes,
 // incurs an unacceptable overhead").
 type RescheduleResult struct {
-	Result
+	runtime.Result
 	// Reschedules counts the synthesis invocations performed during the
 	// cycle (one after every completion or abandonment).
 	Reschedules int
@@ -35,10 +35,10 @@ type RescheduleResult struct {
 // schedulable from the current time with the remaining fault budget; if
 // the synthesis fails (or would be unsafe), the scheduler keeps the
 // previous — still guaranteed — remainder.
-func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Scenario) RescheduleResult {
+func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc runtime.Scenario) RescheduleResult {
 	res := RescheduleResult{
-		Result: Result{
-			Outcomes:        make([]ProcessOutcome, app.N()),
+		Result: runtime.Result{
+			Outcomes:        make([]runtime.ProcessOutcome, app.N()),
 			CompletionTimes: make([]model.Time, app.N()),
 		},
 	}
@@ -100,7 +100,7 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 		res.Makespan = now
 
 		if completed {
-			res.Outcomes[e.Proc] = Completed
+			res.Outcomes[e.Proc] = runtime.Completed
 			res.CompletionTimes[e.Proc] = now
 			executedIDs = append(executedIDs, e.Proc)
 			exSet[e.Proc] = true
@@ -108,7 +108,7 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 				res.HardViolations = append(res.HardViolations, e.Proc)
 			}
 		} else {
-			res.Outcomes[e.Proc] = AbandonedByFault
+			res.Outcomes[e.Proc] = runtime.AbandonedByFault
 			droppedIDs = append(droppedIDs, e.Proc)
 			if p.Kind == model.Hard {
 				res.HardViolations = append(res.HardViolations, e.Proc)
@@ -129,7 +129,7 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 		drop := append(dropBuf[:0], droppedIDs...)
 		for id := 0; id < app.N(); id++ {
 			pid := model.ProcessID(id)
-			if exSet[id] || res.Outcomes[id] == AbandonedByFault {
+			if exSet[id] || res.Outcomes[id] == runtime.AbandonedByFault {
 				continue
 			}
 			for _, s := range app.Succs(pid) {
@@ -154,7 +154,7 @@ func RunOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Sc
 	res.FinalNode = -1 // no tree node: schedules are synthesised live
 
 	for _, h := range app.HardIDs() {
-		if res.Outcomes[h] != Completed {
+		if res.Outcomes[h] != runtime.Completed {
 			already := false
 			for _, v := range res.HardViolations {
 				if v == h {

@@ -67,12 +67,12 @@ func TestOnlineRescheduleUpperBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(21))
+	rng := NewRNG(21)
 	var uStatic, uTree, uIdeal float64
 	const n = 2000
 	static := StaticTree(app, root)
 	for i := 0; i < n; i++ {
-		sc := MustSample(app, rng, 0, nil)
+		sc := mustSample(t, app, &rng, 0, nil)
 		uStatic += testRun(t, static, sc).Utility
 		uTree += testRun(t, tree, sc).Utility
 		ideal := RunOnlineReschedule(app, root, sc)
@@ -98,13 +98,14 @@ func TestOnlineRescheduleUpperBound(t *testing.T) {
 func TestOnlineRescheduleSafetyProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		srng := NewRNG(seed)
 		app := randomApp(rng, 4+rng.Intn(10), 1+rng.Intn(3))
 		root, err := core.FTSS(app)
 		if err != nil {
 			return true
 		}
 		for trial := 0; trial < 15; trial++ {
-			sc := MustSample(app, rng, rng.Intn(app.K()+1), nil)
+			sc := mustSample(t, app, &srng, rng.Intn(app.K()+1), nil)
 			r := RunOnlineReschedule(app, root, sc)
 			if len(r.HardViolations) > 0 {
 				t.Logf("seed %d trial %d: violations %v", seed, trial, r.HardViolations)
@@ -129,10 +130,10 @@ func TestOnlineRescheduleSafetyProperty(t *testing.T) {
 // processed entry. The production version replaced those allocations with
 // index consumption and reused buffers; this reference pins down that the
 // rewrite changed nothing observable.
-func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc Scenario) RescheduleResult {
+func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule, sc runtime.Scenario) RescheduleResult {
 	res := RescheduleResult{
-		Result: Result{
-			Outcomes:        make([]ProcessOutcome, app.N()),
+		Result: runtime.Result{
+			Outcomes:        make([]runtime.ProcessOutcome, app.N()),
 			CompletionTimes: make([]model.Time, app.N()),
 		},
 	}
@@ -176,14 +177,14 @@ func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule,
 		res.Makespan = now
 
 		if completed {
-			res.Outcomes[e.Proc] = Completed
+			res.Outcomes[e.Proc] = runtime.Completed
 			res.CompletionTimes[e.Proc] = now
 			executedIDs = append(executedIDs, e.Proc)
 			if p.Kind == model.Hard && now > p.Deadline {
 				res.HardViolations = append(res.HardViolations, e.Proc)
 			}
 		} else {
-			res.Outcomes[e.Proc] = AbandonedByFault
+			res.Outcomes[e.Proc] = runtime.AbandonedByFault
 			droppedIDs = append(droppedIDs, e.Proc)
 			if p.Kind == model.Hard {
 				res.HardViolations = append(res.HardViolations, e.Proc)
@@ -203,7 +204,7 @@ func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule,
 		drop := append([]model.ProcessID(nil), droppedIDs...)
 		for id := 0; id < app.N(); id++ {
 			pid := model.ProcessID(id)
-			if exSet[pid] || res.Outcomes[id] == AbandonedByFault {
+			if exSet[pid] || res.Outcomes[id] == runtime.AbandonedByFault {
 				continue
 			}
 			for _, s := range app.Succs(pid) {
@@ -222,7 +223,7 @@ func referenceOnlineReschedule(app *model.Application, root *schedule.FSchedule,
 	res.FinalNode = -1
 
 	for _, h := range app.HardIDs() {
-		if res.Outcomes[h] != Completed {
+		if res.Outcomes[h] != runtime.Completed {
 			already := false
 			for _, v := range res.HardViolations {
 				if v == h {
@@ -249,9 +250,9 @@ func TestOnlineRescheduleMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(13))
+		rng := NewRNG(13)
 		for i := 0; i < 200; i++ {
-			sc := MustSample(app, rng, i%(app.K()+1), nil)
+			sc := mustSample(t, app, &rng, i%(app.K()+1), nil)
 			got := RunOnlineReschedule(app, root, sc)
 			want := referenceOnlineReschedule(app, root, sc)
 			got.SynthesisTime, want.SynthesisTime = 0, 0
@@ -282,10 +283,10 @@ func TestOnlineRescheduleFaultHandling(t *testing.T) {
 	// rescheduler carries on with P2.
 	sc2 := fixedScenario(app, nil, map[string]int{"P3": 1})
 	r2 := RunOnlineReschedule(app, root, sc2)
-	if r2.Outcomes[app.IDByName("P3")] != AbandonedByFault {
+	if r2.Outcomes[app.IDByName("P3")] != runtime.AbandonedByFault {
 		t.Error("P3 must be abandoned")
 	}
-	if r2.Outcomes[app.IDByName("P2")] != Completed {
+	if r2.Outcomes[app.IDByName("P2")] != runtime.Completed {
 		t.Error("P2 must still complete")
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"ftsched/internal/core"
@@ -71,20 +70,18 @@ func TrimContext(ctx context.Context, tree *core.Tree, cfg TrimConfig) (int, err
 	}
 
 	// Fixed paired scenario set.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := NewRNG(cfg.Seed)
 	rootEntries := tree.Root().Schedule.Entries
 	candidates := make([]model.ProcessID, 0, len(rootEntries))
 	for _, e := range rootEntries {
 		candidates = append(candidates, e.Proc)
 	}
-	var scenarios []Scenario
-	for _, f := range faults {
+	scenarios := make([]runtime.Scenario, len(faults)*cfg.Scenarios)
+	for j, f := range faults {
 		for i := 0; i < cfg.Scenarios; i++ {
-			sc, err := Sample(app, rng, f, candidates)
-			if err != nil {
+			if err := SampleRNGInto(&scenarios[j*cfg.Scenarios+i], app, &rng, f, candidates); err != nil {
 				return 0, err
 			}
-			scenarios = append(scenarios, sc)
 		}
 	}
 	var sink obs.Sink
@@ -92,7 +89,7 @@ func TrimContext(ctx context.Context, tree *core.Tree, cfg TrimConfig) (int, err
 		sink = cfg.Sink
 	}
 	done := ctx.Done()
-	var res Result
+	var res runtime.Result
 	// eval replays the fixed scenario set through a freshly compiled
 	// dispatcher; it returns ctx.Err() when cancelled mid-replay (the
 	// partial mean is meaningless then) or the dispatcher's typed error

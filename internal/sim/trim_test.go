@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"ftsched/internal/apps"
@@ -94,9 +93,9 @@ func TestTrimCompactsUnreachableNodes(t *testing.T) {
 		t.Fatalf("arc arena has %d entries, node ranges cover %d", len(tree.Arcs), prevEnd)
 	}
 	// The tree still runs.
-	rng := rand.New(rand.NewSource(1))
+	rng := NewRNG(1)
 	for i := 0; i < 50; i++ {
-		r := testRun(t, tree, MustSample(app, rng, i%(app.K()+1), nil))
+		r := testRun(t, tree, mustSample(t, app, &rng, i%(app.K()+1), nil))
 		if len(r.HardViolations) != 0 {
 			t.Fatal("violation after trim")
 		}

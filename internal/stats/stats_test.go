@@ -27,36 +27,17 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestCI95(t *testing.T) {
-	xs := []float64{10, 12, 9, 11, 10, 12, 9, 11}
-	want := 1.96 * StdDev(xs) / math.Sqrt(8)
-	if !almost(CI95(xs), want) {
-		t.Errorf("CI95 = %g, want %g", CI95(xs), want)
-	}
-	if CI95([]float64{3}) != 0 {
-		t.Error("single-sample CI must be 0")
-	}
-}
-
+// TestNormalizeAndRatio: Ratio normalises a value to percent of its
+// baseline, and a zero baseline yields 0 rather than NaN.
 func TestNormalizeAndRatio(t *testing.T) {
-	out := Normalize([]float64{50, 100, 150}, 100)
-	if !almost(out[0], 50) || !almost(out[1], 100) || !almost(out[2], 150) {
-		t.Errorf("Normalize = %v", out)
-	}
-	if z := Normalize([]float64{1, 2}, 0); z[0] != 0 || z[1] != 0 {
-		t.Error("zero base must produce zeros")
+	if !almost(Ratio(50, 100), 50) || !almost(Ratio(150, 100), 150) {
+		t.Error("Ratio must map the baseline to 100")
 	}
 	if !almost(Ratio(120, 80), 150) {
 		t.Error("Ratio(120,80)")
 	}
 	if Ratio(5, 0) != 0 {
 		t.Error("Ratio with zero base")
-	}
-}
-
-func TestFormatPct(t *testing.T) {
-	if got := FormatPct(112.46); got != "112.5%" {
-		t.Errorf("FormatPct = %q", got)
 	}
 }
 

@@ -86,13 +86,3 @@ func CoefficientsInto(alpha []float64, order []int, preds [][]int, status []Stal
 		alpha[i] = sum / float64(1+len(preds[i]))
 	}
 }
-
-// CoefficientsInOrder is Coefficients with the identity visiting order
-// 0..n-1, for graphs whose process indices are already topologically sorted.
-func CoefficientsInOrder(preds [][]int, status []StaleStatus) ([]float64, error) {
-	order := make([]int, len(preds))
-	for i := range order {
-		order[i] = i
-	}
-	return Coefficients(order, preds, status)
-}

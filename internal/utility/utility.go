@@ -92,16 +92,6 @@ func NewTable(mode Interp, points ...Point) (*Table, error) {
 	return &Table{points: cp, mode: mode}, nil
 }
 
-// MustTable is NewTable that panics on invalid input; intended for
-// statically-known fixtures and tests.
-func MustTable(mode Interp, points ...Point) *Table {
-	t, err := NewTable(mode, points...)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // NewStep builds a staircase function: value vs[i] holds for
 // ts[i-1] < t <= ts[i] (v0 before the first step time), and 0 after the last
 // step time. Example: NewStep([]Time{90, 200}, []float64{40, 20}) is 40 up
@@ -137,15 +127,6 @@ func NewLinearDrop(v0 float64, tStart, tEnd Time) (*Table, error) {
 		return nil, fmt.Errorf("utility: NewLinearDrop needs tEnd > tStart (got %d <= %d)", tEnd, tStart)
 	}
 	return NewTable(Linear, Point{T: tStart, V: v0}, Point{T: tEnd, V: 0})
-}
-
-// MustLinearDrop is NewLinearDrop that panics on invalid input.
-func MustLinearDrop(v0 float64, tStart, tEnd Time) *Table {
-	t, err := NewLinearDrop(v0, tStart, tEnd)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // Value implements Function.

@@ -112,7 +112,10 @@ func TestTableString(t *testing.T) {
 	if got := u.String(); got != "step{90:40 91:0}" {
 		t.Errorf("String() = %q", got)
 	}
-	l := MustLinearDrop(10, 0, 5)
+	l, err := NewLinearDrop(10, 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := l.String(); got != "linear{0:10 5:0}" {
 		t.Errorf("String() = %q", got)
 	}
@@ -196,7 +199,7 @@ func TestCoefficientsPaperExample(t *testing.T) {
 		{2},    // P4 <- P3
 	}
 	status := []StaleStatus{Dropped, Executed, Executed, Executed}
-	alpha, err := CoefficientsInOrder(preds, status)
+	alpha, err := coefficientsInOrder(preds, status)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func TestCoefficientsPaperExample(t *testing.T) {
 func TestCoefficientsAllExecuted(t *testing.T) {
 	preds := [][]int{{}, {0}, {0, 1}, {1, 2}}
 	status := []StaleStatus{Executed, Executed, Executed, Executed}
-	alpha, err := CoefficientsInOrder(preds, status)
+	alpha, err := coefficientsInOrder(preds, status)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +227,7 @@ func TestCoefficientsAllExecuted(t *testing.T) {
 
 func TestCoefficientsErrors(t *testing.T) {
 	preds := [][]int{{}, {0}}
-	if _, err := CoefficientsInOrder(preds, []StaleStatus{Executed}); err == nil {
+	if _, err := coefficientsInOrder(preds, []StaleStatus{Executed}); err == nil {
 		t.Error("length mismatch should fail")
 	}
 	if _, err := Coefficients([]int{1, 0}, preds, []StaleStatus{Executed, Executed}); err == nil {
@@ -237,7 +240,7 @@ func TestCoefficientsErrors(t *testing.T) {
 		t.Error("out-of-range order index should fail")
 	}
 	bad := [][]int{{}, {7}}
-	if _, err := CoefficientsInOrder(bad, []StaleStatus{Executed, Executed}); err == nil {
+	if _, err := coefficientsInOrder(bad, []StaleStatus{Executed, Executed}); err == nil {
 		t.Error("out-of-range predecessor should fail")
 	}
 }
@@ -264,7 +267,7 @@ func TestCoefficientsRangeProperty(t *testing.T) {
 				anyDropped = true
 			}
 		}
-		alpha, err := CoefficientsInOrder(preds, status)
+		alpha, err := coefficientsInOrder(preds, status)
 		if err != nil {
 			t.Logf("unexpected error: %v", err)
 			return false
@@ -308,4 +311,14 @@ func TestCoefficientsRangeProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// coefficientsInOrder is Coefficients with the identity visiting order
+// 0..n-1, for test graphs whose indices are already topologically sorted.
+func coefficientsInOrder(preds [][]int, status []StaleStatus) ([]float64, error) {
+	order := make([]int, len(preds))
+	for i := range order {
+		order[i] = i
+	}
+	return Coefficients(order, preds, status)
 }

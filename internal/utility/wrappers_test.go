@@ -20,8 +20,7 @@ func TestShifted(t *testing.T) {
 
 func TestMustConstructorsPanic(t *testing.T) {
 	cases := map[string]func(){
-		"MustStep":       func() { MustStep([]Time{1}, []float64{1, 2}) },
-		"MustLinearDrop": func() { MustLinearDrop(1, 10, 5) },
+		"MustStep": func() { MustStep([]Time{1}, []float64{1, 2}) },
 	}
 	for name, f := range cases {
 		func() {
