@@ -106,13 +106,19 @@ func (c *Client) post(ctx context.Context, path string, req, resp any) error {
 	if err != nil {
 		return fmt.Errorf("client: encoding %s request: %w", path, err)
 	}
+	return c.send(ctx, path, body, func(data []byte) error { return json.Unmarshal(data, resp) })
+}
+
+// send runs the attempts of one API call whose body is already encoded;
+// decode parses a 2xx response body.
+func (c *Client) send(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
 	return c.doRetry(ctx, path, func() error {
-		return c.attempt(ctx, path, body, resp)
+		return c.attempt(ctx, path, body, decode)
 	})
 }
 
 // attempt performs one try of an API call against a fresh body reader.
-func (c *Client) attempt(ctx context.Context, path string, body []byte, resp any) error {
+func (c *Client) attempt(ctx context.Context, path string, body []byte, decode func([]byte) error) error {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
@@ -160,7 +166,7 @@ func (c *Client) attempt(ctx context.Context, path string, body []byte, resp any
 		werr := er.Err
 		return &werr
 	}
-	if err := json.Unmarshal(data, resp); err != nil {
+	if err := decode(data); err != nil {
 		// Truncated or corrupted 2xx body: the response is lost but the
 		// SHA-256 tree cache makes the re-ask idempotent.
 		return &TransportError{Path: path, Err: fmt.Errorf("decoding response: %w", err)}
@@ -211,14 +217,25 @@ func (c *Client) Chaos(ctx context.Context, req serveapi.ChaosRequest) (*serveap
 }
 
 // Dispatch executes a batch of operation cycles through the compiled
-// dispatcher and returns the positional per-cycle outcomes.
+// dispatcher and returns the positional per-cycle outcomes. It encodes
+// and decodes through the serveapi dispatch codec, whose bytes and
+// values are those of encoding/json.
 func (c *Client) Dispatch(ctx context.Context, req serveapi.DispatchRequest) (*serveapi.DispatchResponse, error) {
+	const path = "/v1/dispatch"
 	req.Format = serveapi.FormatV1
-	var resp serveapi.DispatchResponse
-	if err := c.post(ctx, "/v1/dispatch", req, &resp); err != nil {
+	body, err := serveapi.AppendDispatchRequest(nil, &req)
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding %s request: %w", path, err)
+	}
+	var resp *serveapi.DispatchResponse
+	err = c.send(ctx, path, body, func(data []byte) (err error) {
+		resp, err = serveapi.DecodeDispatchResponse(data)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Reload hot-recompiles the tree behind a key and swaps it in atomically.

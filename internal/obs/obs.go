@@ -301,8 +301,9 @@ const (
 	DispatchCycleEnergy
 
 	// ServeRequestNanos is the wall-clock handler latency of one admitted
-	// API request, in nanoseconds (decode, cache lookup or compile,
-	// evaluation, encode).
+	// API request, in nanoseconds, from body read through response
+	// encoding (read, decode, cache lookup or compile, evaluation,
+	// encode); only writing the encoded body to the socket is outside it.
 	ServeRequestNanos
 	// ServeBatchCycles is the number of cycles carried by one batch
 	// dispatch request — the wire amortisation factor.
@@ -345,7 +346,7 @@ var histogramHelp = [numHistograms]string{
 
 	EnvelopeOverrunMagnitude: "Amount by which an execution exceeded its process WCET.",
 	DispatchCycleEnergy:      "Total platform energy (active + idle, rounded) per dispatched cycle.",
-	ServeRequestNanos:        "Handler latency per admitted API request, nanoseconds.",
+	ServeRequestNanos:        "Handler latency per admitted API request, body read through response encoding, nanoseconds.",
 	ServeBatchCycles:         "Cycles carried per batch dispatch request.",
 
 	ClientAttemptsPerRequest: "HTTP attempts per logical client call (1 = first try succeeded).",

@@ -33,6 +33,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -222,31 +223,88 @@ func (s *Server) wrap(name string, fn endpoint) http.HandlerFunc {
 		}
 
 		resp, werr := fn(r.Context(), tenant, body)
+		code := http.StatusOK
+		if werr != nil {
+			if werr.Tenant == "" {
+				werr.Tenant = tenant.name
+			}
+			code, resp = werr.Code, errorResponse(werr)
+		}
+		buf := getBuffer()
+		out, code := encode((*buf)[:0], code, resp, tenant.name)
 		nanos := s.now().Sub(start).Nanoseconds()
 		for _, sink := range []obs.Sink{s.metrics, tenant.metrics} {
 			sink.Add(obs.ServeRequests, 1)
 			sink.Observe(obs.ServeRequestNanos, nanos)
 		}
-		if werr != nil {
-			if werr.Tenant == "" {
-				werr.Tenant = tenant.name
-			}
-			writeError(w, werr)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
+		send(w, code, out)
+		putBuffer(buf, out)
 	}
 }
 
+func errorResponse(werr *serveapi.Error) serveapi.ErrorResponse {
+	return serveapi.ErrorResponse{Format: serveapi.FormatV1, Err: *werr}
+}
+
 func writeError(w http.ResponseWriter, werr *serveapi.Error) {
-	writeJSON(w, werr.Code, serveapi.ErrorResponse{Format: serveapi.FormatV1, Err: *werr})
+	writeJSON(w, werr.Code, errorResponse(werr))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := getBuffer()
+	out, code := encode((*buf)[:0], code, v, "")
+	send(w, code, out)
+	putBuffer(buf, out)
+}
+
+// encode renders a response body into buf before any byte of the
+// response goes out, so that an encoding failure can still become a
+// typed 500 and the body is sent with its Content-Length. Dispatch
+// responses take the serveapi codec; every other body encoding/json.
+func encode(buf []byte, code int, v any, tenant string) ([]byte, int) {
+	out, err := appendJSON(buf, v)
+	if err == nil {
+		return out, code
+	}
+	// An ErrorResponse has no float or raw field, so it always encodes.
+	out, _ = appendJSON(buf[:0], errorResponse(&serveapi.Error{
+		Code: http.StatusInternalServerError, Kind: serveapi.KindInternal,
+		Message: "encoding response: " + err.Error(), Tenant: tenant,
+	}))
+	return out, http.StatusInternalServerError
+}
+
+func appendJSON(buf []byte, v any) ([]byte, error) {
+	if resp, ok := v.(*serveapi.DispatchResponse); ok {
+		return serveapi.AppendDispatchResponse(buf, resp)
+	}
+	b := bytes.NewBuffer(buf)
+	err := json.NewEncoder(b).Encode(v)
+	return b.Bytes(), err
+}
+
+func send(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the status line is already out; nothing to do on error
+	_, _ = w.Write(body) // a failed write means the client is gone
+}
+
+// maxPooledBuffer bounds the response buffers kept for reuse, so one
+// huge batch does not pin its memory in the pool.
+const maxPooledBuffer = 1 << 20
+
+var bufferPool = sync.Pool{New: func() any { b := make([]byte, 0, 8<<10); return &b }}
+
+func getBuffer() *[]byte { return bufferPool.Get().(*[]byte) }
+
+// putBuffer returns buf to the pool, keeping the grown slice out.
+func putBuffer(buf *[]byte, out []byte) {
+	if cap(out) <= maxPooledBuffer {
+		*buf = out[:0]
+		bufferPool.Put(buf)
+	}
 }
 
 // clampWorkers applies the server-wide worker bound to a request hint.

@@ -1,6 +1,7 @@
 package serveapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,17 +50,32 @@ func sniffFormat(data []byte) *Error {
 	return nil
 }
 
-// decodeInto sniffs the format and unmarshals the body. Unknown fields
-// are tolerated (forward compatibility within v1); unknown formats are
-// not.
-func decodeInto(data []byte, dst any) *Error {
-	if werr := sniffFormat(data); werr != nil {
+// decodeInto unmarshals the body in one pass. Only a body that fails to
+// decode, decodes without a FormatV1 format, or holds a null literal is
+// sniffed: the sniff words format and syntax errors exactly as a
+// format-first decode would, so the single pass changes no error. The
+// null check keeps a body such as {"format":"ftsched-api/v1",
+// "format":null} rejected: the sniffer's *string reads the later null as
+// no format, while the request's string field keeps the earlier value.
+// Unknown fields are tolerated (forward compatibility within v1);
+// unknown formats are not.
+func decodeInto(data []byte, dst any, format *string) *Error {
+	err := json.Unmarshal(data, dst)
+	if err == nil && *format == FormatV1 && !bytes.Contains(data, []byte("null")) {
+		return nil
+	}
+	return classify(data, err)
+}
+
+// classify settles a body the single-pass decode could not accept:
+// decoding failed with err, or (err nil) the format was left in doubt.
+// The sniff words format and syntax errors; any other failure is a
+// decoding error, and a nil err the sniff accepts is no error at all.
+func classify(data []byte, err error) *Error {
+	if werr := sniffFormat(data); werr != nil || err == nil {
 		return werr
 	}
-	if err := json.Unmarshal(data, dst); err != nil {
-		return badRequest(KindBadRequest, "decoding request: %v", err)
-	}
-	return nil
+	return badRequest(KindBadRequest, "decoding request: %v", err)
 }
 
 // emptyRaw reports an absent embedded document (missing field or JSON
@@ -89,19 +105,35 @@ func checkOptions(o FTQSOptionsJSON) *Error {
 	return nil
 }
 
+// checkTarget validates the tree a request addresses, and the synthesis
+// options of an embedded application.
+func checkTarget(ref TreeRef) *Error {
+	if werr := checkRef(ref); werr != nil {
+		return werr
+	}
+	if ref.Options != nil {
+		return checkOptions(*ref.Options)
+	}
+	return nil
+}
+
 // DecodeSynthesizeRequest decodes and validates a synthesis request.
 func DecodeSynthesizeRequest(data []byte) (*SynthesizeRequest, *Error) {
 	var req SynthesizeRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, werr
 	}
-	if emptyRaw(req.App) {
-		return nil, badRequest(KindBadRequest, "synthesize request embeds no app")
-	}
-	if werr := checkOptions(req.Options); werr != nil {
+	if werr := checkSynthesize(&req); werr != nil {
 		return nil, werr
 	}
 	return &req, nil
+}
+
+func checkSynthesize(req *SynthesizeRequest) *Error {
+	if emptyRaw(req.App) {
+		return badRequest(KindBadRequest, "synthesize request embeds no app")
+	}
+	return checkOptions(req.Options)
 }
 
 // DecodeEvalRequest decodes an evaluation request and validates its
@@ -109,117 +141,135 @@ func DecodeSynthesizeRequest(data []byte) (*SynthesizeRequest, *Error) {
 // normalised config, so the server runs exactly what the library would.
 func DecodeEvalRequest(data []byte) (*EvalRequest, sim.MCConfig, *Error) {
 	var req EvalRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, sim.MCConfig{}, werr
 	}
-	if werr := checkRef(req.TreeRef); werr != nil {
+	cfg, werr := checkEval(&req)
+	if werr != nil {
 		return nil, sim.MCConfig{}, werr
 	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
-			return nil, sim.MCConfig{}, werr
-		}
+	return &req, cfg, nil
+}
+
+func checkEval(req *EvalRequest) (sim.MCConfig, *Error) {
+	if werr := checkTarget(req.TreeRef); werr != nil {
+		return sim.MCConfig{}, werr
 	}
 	cfg, err := req.Config.MCConfig()
 	if err != nil {
-		return nil, sim.MCConfig{}, WireError(err)
+		return sim.MCConfig{}, WireError(err)
 	}
-	return &req, cfg, nil
+	return cfg, nil
 }
 
 // DecodeCertifyRequest decodes a certification request and validates its
 // config through certify.Config.Validate.
 func DecodeCertifyRequest(data []byte) (*CertifyRequest, certify.Config, *Error) {
 	var req CertifyRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, certify.Config{}, werr
 	}
-	if werr := checkRef(req.TreeRef); werr != nil {
+	cfg, werr := checkCertify(&req)
+	if werr != nil {
 		return nil, certify.Config{}, werr
 	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
-			return nil, certify.Config{}, werr
-		}
+	return &req, cfg, nil
+}
+
+func checkCertify(req *CertifyRequest) (certify.Config, *Error) {
+	if werr := checkTarget(req.TreeRef); werr != nil {
+		return certify.Config{}, werr
 	}
 	cfg, err := req.Config.CertifyConfig()
 	if err != nil {
-		return nil, certify.Config{}, WireError(err)
+		return certify.Config{}, WireError(err)
 	}
-	return &req, cfg, nil
+	return cfg, nil
 }
 
 // DecodeChaosRequest decodes a chaos-campaign request and validates its
 // config through chaos.Config.Validate.
 func DecodeChaosRequest(data []byte) (*ChaosRequest, chaos.Config, *Error) {
 	var req ChaosRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, chaos.Config{}, werr
 	}
-	if werr := checkRef(req.TreeRef); werr != nil {
+	cfg, werr := checkChaos(&req)
+	if werr != nil {
 		return nil, chaos.Config{}, werr
-	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
-			return nil, chaos.Config{}, werr
-		}
-	}
-	cfg, err := req.Config.ChaosConfig()
-	if err != nil {
-		return nil, chaos.Config{}, WireError(err)
 	}
 	return &req, cfg, nil
 }
 
-// DecodeDispatchRequest decodes a batch dispatch request. Per-cycle
-// model validation needs the application and happens in the server once
-// the tree is resolved.
+func checkChaos(req *ChaosRequest) (chaos.Config, *Error) {
+	if werr := checkTarget(req.TreeRef); werr != nil {
+		return chaos.Config{}, werr
+	}
+	cfg, err := req.Config.ChaosConfig()
+	if err != nil {
+		return chaos.Config{}, WireError(err)
+	}
+	return cfg, nil
+}
+
+// DecodeDispatchRequest decodes a batch dispatch request through the
+// hand codec (codec.go) in one pass. Per-cycle model validation needs
+// the application and happens in the server once the tree is resolved.
 func DecodeDispatchRequest(data []byte) (*DispatchRequest, *Error) {
-	var req DispatchRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	req, err := decodeDispatchRequest(data)
+	if err != nil {
+		return nil, classify(data, err)
+	}
+	if werr := checkDispatch(req); werr != nil {
 		return nil, werr
 	}
-	if werr := checkRef(req.TreeRef); werr != nil {
-		return nil, werr
-	}
-	if req.Options != nil {
-		if werr := checkOptions(*req.Options); werr != nil {
-			return nil, werr
-		}
+	return req, nil
+}
+
+func checkDispatch(req *DispatchRequest) *Error {
+	if werr := checkTarget(req.TreeRef); werr != nil {
+		return werr
 	}
 	if len(req.Cycles) == 0 {
-		return nil, badRequest(KindBadRequest, "dispatch request carries no cycles")
+		return badRequest(KindBadRequest, "dispatch request carries no cycles")
 	}
 	if req.Workers < 0 {
-		return nil, &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: "Workers",
+		return &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: "Workers",
 			Message: fmt.Sprintf("Workers must be non-negative (got %d)", req.Workers)}
 	}
 	for i, c := range req.Cycles {
 		if len(c.Durations) == 0 {
-			return nil, badRequest(KindBadRequest, "cycle %d carries no durations", i)
+			return badRequest(KindBadRequest, "cycle %d carries no durations", i)
 		}
 		if c.FaultsAt != nil && len(c.FaultsAt) != len(c.Durations) {
-			return nil, badRequest(KindBadRequest, "cycle %d: %d fault counts for %d durations",
+			return badRequest(KindBadRequest, "cycle %d: %d fault counts for %d durations",
 				i, len(c.FaultsAt), len(c.Durations))
 		}
 	}
-	return &req, nil
+	return nil
 }
 
 // DecodeReloadRequest decodes a hot-reload request.
 func DecodeReloadRequest(data []byte) (*ReloadRequest, *Error) {
 	var req ReloadRequest
-	if werr := decodeInto(data, &req); werr != nil {
+	if werr := decodeInto(data, &req, &req.Format); werr != nil {
 		return nil, werr
 	}
-	if req.TreeKey == "" {
-		return nil, badRequest(KindBadRequest, "reload request names no tree_key")
-	}
-	if req.Trim != nil && req.Trim.Scenarios <= 0 {
-		return nil, &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: "Scenarios",
-			Message: fmt.Sprintf("trim Scenarios must be positive (got %d)", req.Trim.Scenarios)}
+	if werr := checkReload(&req); werr != nil {
+		return nil, werr
 	}
 	return &req, nil
+}
+
+func checkReload(req *ReloadRequest) *Error {
+	if req.TreeKey == "" {
+		return badRequest(KindBadRequest, "reload request names no tree_key")
+	}
+	if req.Trim != nil && req.Trim.Scenarios <= 0 {
+		return &Error{Code: http.StatusBadRequest, Kind: KindInvalidConfig, Field: "Scenarios",
+			Message: fmt.Sprintf("trim Scenarios must be positive (got %d)", req.Trim.Scenarios)}
+	}
+	return nil
 }
 
 // WireError maps any library error onto the typed wire error, preserving

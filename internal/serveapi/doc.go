@@ -23,6 +23,19 @@
 // name — so the CLI, the library and the wire reject bad input
 // identically.
 //
+// # Codec discipline
+//
+// The /v1/dispatch DTOs (DispatchRequest, DispatchResponse and the types
+// inside them) have a hand codec, codec.go: DecodeDispatchRequest reads a
+// body in one reflection-free pass, sniffing the format only when the
+// body fails to decode, and AppendDispatchRequest, AppendDispatchResponse
+// and DecodeDispatchResponse serve the client and the server's response.
+// encoding/json stays the codec of every other endpoint and is the hand
+// codec's test oracle: the differential fuzz targets require the same
+// verdict, the same values and the same bytes on arbitrary input, and
+// TestDispatchCodecCoversSchema sets every field of the dispatch DTOs by
+// reflection, so a field added without codec support fails tier-1.
+//
 // # Identifier discipline
 //
 // Processes are referenced by integer ProcessID on the wire (the index in
